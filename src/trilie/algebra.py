@@ -16,6 +16,7 @@ from .linalg import (
     Matrix,
     SubspaceBasis,
     ZERO,
+    format_vector,
     nullspace,
     unit_vector,
     vec_is_zero,
@@ -192,12 +193,12 @@ def validate_algebra(alg: Algebra) -> tuple:
         if left != bj:
             violations.append(Violation(
                 "left-unit", (j,),
-                f"unit·b{j} = {left} differs from b{j}"))
+                f"unit·b{j} = {format_vector(left)} differs from b{j}"))
         right = alg.multiply(bj, alg.unit)
         if right != bj:
             violations.append(Violation(
                 "right-unit", (j,),
-                f"b{j}·unit = {right} differs from b{j}"))
+                f"b{j}·unit = {format_vector(right)} differs from b{j}"))
     basis = [alg.basis_vector(i) for i in range(d)]
     for i in range(d):
         for j in range(d):

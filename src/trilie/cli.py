@@ -136,6 +136,8 @@ def _resolve_sequence(ws: Workspace, args, tri_name, tri, allowed_kinds,
             raise InputError(
                 f"kind {kind!r} not accepted here; choices: {', '.join(sorted(allowed_kinds))}")
         levels = args.levels if args.levels is not None else 3
+        if levels < 0:
+            raise InputError(f"--levels must be nonnegative, got {levels}")
         seed = args.seed if args.seed is not None else 0
         seq = sample_sequence(tri.algebra, kind, levels, seed)
         source = {"sampled": {"kind": kind, "levels": levels, "seed": seed}}
@@ -234,20 +236,13 @@ def cmd_extend(ws: Workspace, args):
 
 def cmd_sample(ws: Workspace, args):
     name, tri = _build_target(ws, args)
-    kind = args.kind or LIE_HIGHER
-    if kind not in KINDS:
-        raise InputError(f"unknown kind {kind!r}; choices: {', '.join(sorted(KINDS))}")
-    levels = args.levels if args.levels is not None else 3
-    seed = args.seed if args.seed is not None else 0
-    seq = sample_sequence(tri.algebra, kind, levels, seed)
+    seq, source = _resolve_sequence(ws, args, name, tri, KINDS, LIE_HIGHER)
     violations = verify_sequence(tri.algebra, seq)
     report = {
         "command": "sample",
         "ok": not violations,
         "target": name,
-        "kind": kind,
-        "levels": levels,
-        "seed": seed,
+        **source["sampled"],
         "sequence": sequence_json(seq, name),
         "violations": [violation_json(v) for v in violations],
     }

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import LinearMap, Violation, center, commutator_subspace
-from .derivations import LIE_HIGHER, HigherMapSequence
+from .derivations import LIE_HIGHER, HigherMapSequence, _Law
 from .extension import ExtendedTriangular, build_operator_extension
 from .linalg import (
     FactoredSolver,
@@ -295,6 +295,12 @@ def decompose(tri: TriangularAlgebra, seq: HigherMapSequence) -> ProperDecomposi
     return dec
 
 
+def _products(alg) -> dict:
+    """b_p·b_q for every ordered basis pair, in witness order."""
+    return {(p, q): alg.struct_consts[p][q]
+            for p in range(alg.dim) for q in range(alg.dim)}
+
+
 @lru_cache(maxsize=None)
 def _center_annihilator(tri: TriangularAlgebra) -> Matrix:
     return center_subspace(tri).annihilator()
@@ -322,6 +328,11 @@ def verify_properness(tri: TriangularAlgebra, seq: HigherMapSequence,
     def flag(law, where, message):
         violations.append(Violation(law, where, message))
 
+    def check(law, n, name, message):
+        failure = law.failure(n)
+        if failure:
+            flag(name, (n,) + failure[0], message)
+
     emb = ext.embedding_map()
     for n in range(top + 1):
         if dec.delta[n].matrix + dec.chi[n].matrix != \
@@ -330,25 +341,10 @@ def verify_properness(tri: TriangularAlgebra, seq: HigherMapSequence,
                  "Δ + χ differs from the embedded input map")
             break
 
-    delta_cols = [[dec.delta[i].matrix.column(c) for c in range(base.dim)]
-                  for i in range(top + 1)]
+    higher = _Law(big.multiply, _products(base), dec.delta)
     for n in range(top + 1):
-        done = False
-        for p in range(base.dim):
-            if done:
-                break
-            for q in range(base.dim):
-                prod = base.multiply(base.basis_vector(p), base.basis_vector(q))
-                lhs = dec.delta[n].apply(prod)
-                rhs = zero_vector(big.dim)
-                for i in range(n + 1):
-                    rhs = vec_add(rhs, big.multiply(delta_cols[i][p],
-                                                    delta_cols[n - i][q]))
-                if lhs != rhs:
-                    flag("higher-law", (n, p, q),
-                         "Δ violates the higher-derivation law at this pair")
-                    done = True
-                    break
+        check(higher, n, "higher-law",
+              "Δ violates the higher-derivation law at this pair")
 
     zcenter = center_subspace(ext.extended)
     annihilator = _center_annihilator(ext.extended)
@@ -389,83 +385,36 @@ def verify_properness(tri: TriangularAlgebra, seq: HigherMapSequence,
                     done = True
                     break
 
-    comps = dec.components
     bm = tri.bimodule
+    units_m = [unit_vector(tri.dim_m, j) for j in range(tri.dim_m)]
+    # the mixed op a0_matrix(d_s(a))·h_{n−s}(m): each operator matrix built once
+    d_ops = [[ext.a0_matrix(d.matrix.column(i)) for i in range(tri.dim_a)]
+             for d in dec.diag_a0]
+    dp_ops = [[ext.b0_matrix(d.matrix.column(i)) for i in range(tri.dim_b)]
+              for d in dec.diag_b0]
+    compat_left = _Law(
+        Matrix.apply,
+        {(i, j): bm.act_left(tri.part_a.basis_vector(i), units_m[j])
+         for i in range(tri.dim_a) for j in range(tri.dim_m)},
+        dec.components.mod, left=d_ops)
+    compat_right = _Law(
+        lambda m, op: op.apply(m),
+        {(j, i): bm.act_right(units_m[j], tri.part_b.basis_vector(i))
+         for j in range(tri.dim_m) for i in range(tri.dim_b)},
+        dec.components.mod, right=dp_ops)
     for n in range(top + 1):
-        hit = False
-        for i in range(tri.dim_a):
-            if hit:
-                break
-            a = tri.part_a.basis_vector(i)
-            for j in range(tri.dim_m):
-                m = unit_vector(tri.dim_m, j)
-                lhs = comps.mod[n].apply(bm.act_left(a, m))
-                rhs = zero_vector(tri.dim_m)
-                for s in range(n + 1):
-                    op = ext.a0_matrix(dec.diag_a0[s].apply(a))
-                    rhs = vec_add(rhs, op.apply(comps.mod[n - s].apply(m)))
-                if lhs != rhs:
-                    flag("module-compat-left", (n, i, j),
-                         "h(a·m) differs from the d/h convolution")
-                    hit = True
-                    break
-        hit = False
-        for j in range(tri.dim_m):
-            if hit:
-                break
-            m = unit_vector(tri.dim_m, j)
-            for i in range(tri.dim_b):
-                b = tri.part_b.basis_vector(i)
-                lhs = comps.mod[n].apply(bm.act_right(m, b))
-                rhs = zero_vector(tri.dim_m)
-                for s in range(n + 1):
-                    op = ext.b0_matrix(dec.diag_b0[s].apply(b))
-                    rhs = vec_add(rhs, op.apply(comps.mod[n - s].apply(m)))
-                if lhs != rhs:
-                    flag("module-compat-right", (n, j, i),
-                         "h(m·b) differs from the h/d' convolution")
-                    hit = True
-                    break
+        check(compat_left, n, "module-compat-left",
+              "h(a·m) differs from the d/h convolution")
+        check(compat_right, n, "module-compat-right",
+              "h(m·b) differs from the h/d' convolution")
 
-    a0_alg = ext.extended.part_a
-    b0_alg = ext.extended.part_b
+    corner_a = _Law(ext.extended.part_a.multiply, _products(tri.part_a), dec.diag_a0)
+    corner_b = _Law(ext.extended.part_b.multiply, _products(tri.part_b), dec.diag_b0)
     for n in range(top + 1):
-        hit = False
-        for i in range(tri.dim_a):
-            if hit:
-                break
-            for k in range(tri.dim_a):
-                prod = tri.part_a.multiply(tri.part_a.basis_vector(i),
-                                           tri.part_a.basis_vector(k))
-                lhs = dec.diag_a0[n].apply(prod)
-                rhs = zero_vector(ext.dim_a0)
-                for s in range(n + 1):
-                    rhs = vec_add(rhs, a0_alg.multiply(
-                        dec.diag_a0[s].apply(tri.part_a.basis_vector(i)),
-                        dec.diag_a0[n - s].apply(tri.part_a.basis_vector(k))))
-                if lhs != rhs:
-                    flag("diagonal-higher-law-a", (n, i, k),
-                         "{d_n} violates the higher law inside A0")
-                    hit = True
-                    break
-        hit = False
-        for i in range(tri.dim_b):
-            if hit:
-                break
-            for k in range(tri.dim_b):
-                prod = tri.part_b.multiply(tri.part_b.basis_vector(i),
-                                           tri.part_b.basis_vector(k))
-                lhs = dec.diag_b0[n].apply(prod)
-                rhs = zero_vector(ext.dim_b0)
-                for s in range(n + 1):
-                    rhs = vec_add(rhs, b0_alg.multiply(
-                        dec.diag_b0[s].apply(tri.part_b.basis_vector(i)),
-                        dec.diag_b0[n - s].apply(tri.part_b.basis_vector(k))))
-                if lhs != rhs:
-                    flag("diagonal-higher-law-b", (n, i, k),
-                         "{d'_n} violates the higher law inside B0")
-                    hit = True
-                    break
+        check(corner_a, n, "diagonal-higher-law-a",
+              "{d_n} violates the higher law inside A0")
+        check(corner_b, n, "diagonal-higher-law-b",
+              "{d'_n} violates the higher law inside B0")
 
     return tuple(violations)
 
@@ -609,18 +558,9 @@ def _probe_candidate_ok(tri, ext, emb, level_map, chosen, candidate, n) -> bool:
     base = tri.algebra
     big = ext.extended.algebra
     d = base.dim
-    cols = [[m.matrix.column(c) for c in range(d)] for m in chosen]
-    cand_cols = [candidate.matrix.column(c) for c in range(d)]
-    for p in range(d):
-        for q in range(d):
-            w = base.multiply(base.basis_vector(p), base.basis_vector(q))
-            lhs = candidate.apply(w)
-            rhs = vec_add(big.multiply(cand_cols[p], cols[0][q]),
-                          big.multiply(cols[0][p], cand_cols[q]))
-            for i in range(1, n):
-                rhs = vec_add(rhs, big.multiply(cols[i][p], cols[n - i][q]))
-            if lhs != rhs:
-                return False
+    maps = list(chosen) + [candidate]
+    if _Law(big.multiply, _products(base), maps).failure(n):
+        return False
     annihilator = _center_annihilator(ext.extended)
     embedded = emb.matrix.mul(level_map.matrix)
     residual = embedded - candidate.matrix

@@ -16,7 +16,17 @@ every prefix, and every sampled sequence; the homogeneous solution space at
 any level is the level-1 space of the same kind.
 
 Solving at level n uses only the prefix L_0..L_{n-1}; verification re-checks
-the defining identities directly.
+the defining identities directly.  The two paths are deliberately separate
+code: checks never read the coefficient matrix or the level offset, so a term
+the solver dropped cannot also be dropped by the check that passes its
+output.  Every check (verify_sequence here, and the convolution laws that
+decomposition.verify_properness and the probe recheck) goes through one
+evaluator, _Law.  It reads each map's basis images once as matrix columns
+and keeps prefix partial sums: for the double-bracket law the pair sums
+P_s(p, q) = Σ_{i+j=s} [L_i(b_p), L_j(b_q)] are computed once and reused for
+every third index r and every later level, so
+
+  rhs_n(p, q, r) = Σ_{k=0..n} [P_{n−k}(p, q), L_k(b_r)].
 """
 
 import random
@@ -29,11 +39,11 @@ from .linalg import (
     FactoredSolver,
     Matrix,
     ZERO,
+    format_vector,
     matrix_from_flat,
     scalar,
     vec_add,
     vec_scale,
-    vec_sub,
     zero_vector,
 )
 
@@ -41,6 +51,10 @@ HIGHER = "higher"
 LIE_HIGHER = "lie-higher"
 LIE_TRIPLE_HIGHER = "lie-triple-higher"
 KINDS = (HIGHER, LIE_HIGHER, LIE_TRIPLE_HIGHER)
+
+
+class SequenceError(ValueError):
+    """A map sequence is malformed, or its prefix cannot be extended."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +65,10 @@ class HigherMapSequence:
     levels: tuple
 
     def __post_init__(self):
-        assert self.kind in KINDS
-        assert self.levels, "a sequence holds at least L_0"
+        if self.kind not in KINDS:
+            raise SequenceError(f"unknown kind {self.kind!r}")
+        if not self.levels:
+            raise SequenceError("a sequence holds at least L_0")
 
     @property
     def top_level(self) -> int:
@@ -208,13 +224,14 @@ def level_system(alg: Algebra, kind: str, prefix: HigherMapSequence) -> LevelSys
 
 
 def _extend(alg: Algebra, kind: str, prefix: HigherMapSequence) -> AffineSolutionSet:
-    assert prefix.levels[0].matrix == Matrix.identity(alg.dim), \
-        "a sequence prefix must start with the identity map"
+    if prefix.levels[0].matrix != Matrix.identity(alg.dim):
+        raise SequenceError("a sequence prefix must start with the identity map")
     offset = _level_offset(alg, kind, prefix.levels)
     sol = _kind_solver(alg, kind).solve(offset)
-    assert not sol.is_empty, \
-        "level extension became inconsistent; the prefix cannot satisfy the " \
-        "lower-level identities"
+    if sol.is_empty:
+        raise SequenceError(
+            "level extension became inconsistent; the prefix cannot satisfy "
+            "the lower-level identities")
     return sol
 
 
@@ -229,13 +246,6 @@ def lie_higher_extend(alg: Algebra, prefix: HigherMapSequence) -> AffineSolution
 
 def lie_triple_higher_extend(alg: Algebra, prefix: HigherMapSequence) -> AffineSolutionSet:
     return _extend(alg, LIE_TRIPLE_HIGHER, prefix)
-
-
-_EXTENDERS = {
-    HIGHER: higher_extend,
-    LIE_HIGHER: lie_higher_extend,
-    LIE_TRIPLE_HIGHER: lie_triple_higher_extend,
-}
 
 
 @lru_cache(maxsize=None)
@@ -279,6 +289,56 @@ def sample_sequence(alg: Algebra, kind: str, levels: int, seed) -> HigherMapSequ
     return seq
 
 
+class _Law:
+    """One convolution law of a bilinear op, checked level by level on basis
+    tuples t = (p, q) or (p, q, r):
+
+      out_n(arg_t) = Σ_{i+j=n} op(left_i(b_p), right_j(b_q))
+      out_n(arg_t) = Σ_{i+j+k=n} op(op(left_i(b_p), right_j(b_q)), right_k(b_r))
+
+    out holds the maps; left and right hold what op takes by [level][basis
+    index], by default the maps' basis images, read once as matrix columns.
+    args maps every tuple, in witness order, to its lhs argument.  Arity 3
+    sums op(P_{n−k}(p, q), right_k(b_r)) over k, with the pair partial sums
+    P_s(p, q) kept once per pair and level.
+    """
+
+    def __init__(self, op, args: dict, out, left=None, right=None):
+        self.op, self.args, self.out = op, args, out
+        self.dim = out[0].target_dim
+        cols = [[m.matrix.column(p) for p in range(m.source_dim)] for m in out]
+        self.left = cols if left is None else left
+        self.right = cols if right is None else right
+        self._pair_sums = {}
+
+    def _sum(self, terms):
+        acc = [ZERO] * self.dim
+        for x, y in terms:
+            for k, a in enumerate(self.op(x, y)):
+                if a:
+                    acc[k] += a
+        return tuple(acc)
+
+    def rhs(self, n: int, t: tuple):
+        left, right = self.left, self.right
+        if len(t) == 2:
+            p, q = t
+            return self._sum((left[i][p], right[n - i][q]) for i in range(n + 1))
+        p, q, r = t
+        sums = self._pair_sums.setdefault((p, q), [])
+        for s in range(len(sums), n + 1):
+            sums.append(self.rhs(s, (p, q)))
+        return self._sum((sums[n - k], right[k][r]) for k in range(n + 1))
+
+    def failure(self, n: int):
+        """The first (t, lhs, rhs) at level n with lhs ≠ rhs, or None."""
+        for t, arg in self.args.items():
+            lhs, rhs = self.out[n].apply(arg), self.rhs(n, t)
+            if lhs != rhs:
+                return t, lhs, rhs
+        return None
+
+
 def verify_sequence(alg: Algebra, seq: HigherMapSequence) -> tuple:
     """Re-check every defining identity; report the first violation found.
 
@@ -286,42 +346,22 @@ def verify_sequence(alg: Algebra, seq: HigherMapSequence) -> tuple:
     brackets of images), independently of the solver's matrix encoding.
     """
     d = alg.dim
-    ident = LinearMap.identity(d)
-    if seq.levels[0].matrix != ident.matrix:
+    if seq.levels[0].matrix != Matrix.identity(d):
         return (Violation("level-0-identity", (0,),
                           "L_0 must be the identity map"),)
+    op = alg.multiply if seq.kind == HIGHER else alg.bracket
     basis = [alg.basis_vector(i) for i in range(d)]
+    args = {}
+    for t in _constraint_tuples(alg, seq.kind):
+        arg = op(basis[t[0]], basis[t[1]])
+        args[t] = arg if len(t) == 2 else op(arg, basis[t[2]])
+    law = _Law(op, args, seq.levels)
     for n in range(1, len(seq.levels)):
-        maps = seq.levels[:n + 1]
-        for tup in _constraint_tuples(alg, seq.kind):
-            if seq.kind == HIGHER:
-                p, q = tup
-                lhs = maps[n].apply(alg.multiply(basis[p], basis[q]))
-                rhs = zero_vector(d)
-                for i in range(n + 1):
-                    rhs = vec_add(rhs, alg.multiply(maps[i].apply(basis[p]),
-                                                    maps[n - i].apply(basis[q])))
-            elif seq.kind == LIE_HIGHER:
-                p, q = tup
-                lhs = maps[n].apply(alg.bracket(basis[p], basis[q]))
-                rhs = zero_vector(d)
-                for i in range(n + 1):
-                    rhs = vec_add(rhs, alg.bracket(maps[i].apply(basis[p]),
-                                                   maps[n - i].apply(basis[q])))
-            else:
-                p, q, r = tup
-                w = alg.bracket(basis[p], basis[q])
-                lhs = maps[n].apply(alg.bracket(w, basis[r]))
-                rhs = zero_vector(d)
-                for i in range(n + 1):
-                    for j in range(n + 1 - i):
-                        k = n - i - j
-                        inner = alg.bracket(maps[i].apply(basis[p]),
-                                            maps[j].apply(basis[q]))
-                        rhs = vec_add(rhs, alg.bracket(inner, maps[k].apply(basis[r])))
-            if lhs != rhs:
-                return (Violation(
-                    f"{seq.kind}-identity", (n,) + tup,
-                    f"level-{n} identity fails at basis tuple {tup}: "
-                    f"lhs {lhs} differs from rhs {rhs}"),)
+        failure = law.failure(n)
+        if failure:
+            t, lhs, rhs = failure
+            return (Violation(
+                f"{seq.kind}-identity", (n,) + t,
+                f"level-{n} identity fails at basis tuple {t}: "
+                f"lhs {format_vector(lhs)} differs from rhs {format_vector(rhs)}"),)
     return ()

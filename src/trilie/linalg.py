@@ -89,6 +89,11 @@ def vec_is_zero(v: Vector) -> bool:
     return all(not a for a in v)
 
 
+def format_vector(v: Vector) -> str:
+    """``(p/q, …)``: the same text under either scalar backend."""
+    return "(" + ", ".join(str(a) for a in v) + ")"
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense matrix: ``entries`` is a row-major grid of exact scalars."""

@@ -153,6 +153,13 @@ def test_sample_other_kinds(capsys):
     assert code == 0 and report["sequence"]["kind"] == "lie-triple-higher"
 
 
+@pytest.mark.parametrize("command", ["sample", "verify", "decompose", "probe"])
+def test_negative_levels_is_an_input_error(command, capsys):
+    code, out, err = run(capsys, command, "--builtin", "tri_q_q_q", "--levels", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--levels" in err
+
+
 def test_verify_sampled_and_stored(tmp_path, capsys):
     code, report, _ = run_json(capsys, "verify", "--builtin", "tri_qq_plane_qq",
                                "--levels", "2", "--seed", "1")

@@ -7,6 +7,11 @@ imposes lie identities on ALL ordered tuples, not the reduced sets the solver
 uses.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from trilie.algebra import (
@@ -23,6 +28,7 @@ from trilie.derivations import (
     LIE_HIGHER,
     LIE_TRIPLE_HIGHER,
     HigherMapSequence,
+    SequenceError,
     derivation_space,
     higher_extend,
     level_system,
@@ -284,10 +290,35 @@ def test_inconsistent_prefix_aborts_loudly():
     qq = product_of_rationals(2)
     bad = LinearMap.from_matrix(Matrix.from_rows([[0, 0], [1, 0]]))
     prefix = HigherMapSequence(HIGHER, (LinearMap.identity(2), bad))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SequenceError):
         higher_extend(qq, prefix)
-    with pytest.raises(AssertionError):
+    with pytest.raises(SequenceError):
         higher_extend(qq, HigherMapSequence(HIGHER, (bad,)))
+
+
+def test_inconsistent_prefix_raises_under_optimize():
+    """The sequence checks are not asserts, so `python -O` keeps them."""
+    script = (
+        "from trilie.algebra import LinearMap, product_of_rationals\n"
+        "from trilie.derivations import HIGHER, HigherMapSequence, SequenceError, higher_extend\n"
+        "from trilie.linalg import Matrix\n"
+        "bad = LinearMap.from_matrix(Matrix.from_rows([[0, 0], [1, 0]]))\n"
+        "for levels in ((LinearMap.identity(2), bad), (bad,)):\n"
+        "    try:\n"
+        "        higher_extend(product_of_rationals(2), HigherMapSequence(HIGHER, levels))\n"
+        "    except SequenceError:\n"
+        "        print('raised')\n"
+        "for args in (('nope', (bad,)), (HIGHER, ())):\n"
+        "    try:\n"
+        "        HigherMapSequence(*args)\n"
+        "    except SequenceError:\n"
+        "        print('raised')\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * 4
 
 
 def test_homogeneous_part_is_level_one_space_at_every_level():
