@@ -112,23 +112,29 @@ def _constraint_tuples(alg: Algebra, kind: str):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _add_value_block(rows, base, v, sign, d):
-    """Add sign·L(v) to the d output rows starting at `base`."""
-    for s in range(d):
-        row = rows[base + s]
-        for c in range(d):
-            if v[c]:
-                row[s * d + c] += sign * v[c]
+def _nonzeros(m: Matrix):
+    """The nonzero entries of m as (row, column, entry)."""
+    return [(s, r, c) for s, row in enumerate(m.entries) for r, c in enumerate(row) if c]
 
 
-def _add_composed_block(rows, base, outer: Matrix, col: int, sign, d):
-    """Add sign·outer·(L applied to basis vector `col`) to the output rows."""
+def _add_value_block(rows, base, v, d):
+    """Add L(v) to the d output rows starting at `base`."""
+    support = [(c, x) for c, x in enumerate(v) if x]
     for s in range(d):
         row = rows[base + s]
-        for r in range(d):
-            coeff = outer.entries[s][r]
-            if coeff:
-                row[r * d + col] += sign * coeff
+        for c, x in support:
+            row[s * d + c] += x
+
+
+def _add_composed_block(rows, base, outer, col: int, sign, d):
+    """Add sign·outer·(L applied to basis vector `col`) to the output rows;
+    outer is a matrix given by its _nonzeros."""
+    for s, r, coeff in outer:
+        row = rows[base + s]
+        if sign > 0:
+            row[r * d + col] += coeff
+        else:
+            row[r * d + col] -= coeff
 
 
 @lru_cache(maxsize=None)
@@ -143,29 +149,39 @@ def _coefficient_matrix(alg: Algebra, kind: str) -> Matrix:
     # u ↦ [u, b_q]
     rbrk = [right[q] - left[q] for q in range(d)]
 
-    for t, tup in enumerate(tuples):
-        base = t * d
-        if kind == HIGHER:
-            p, q = tup
-            _add_value_block(rows, base, alg.struct_consts[p][q], 1, d)
+    if kind == HIGHER:
+        left_nz, right_nz = [_nonzeros(m) for m in left], [_nonzeros(m) for m in right]
+        for t, (p, q) in enumerate(tuples):
+            base = t * d
+            _add_value_block(rows, base, alg.struct_consts[p][q], d)
             # −L(b_p)·b_q − b_p·L(b_q)
-            _add_composed_block(rows, base, right[q], p, -1, d)
-            _add_composed_block(rows, base, left[p], q, -1, d)
-        elif kind == LIE_HIGHER:
-            p, q = tup
-            _add_value_block(rows, base, alg.bracket(basis[p], basis[q]), 1, d)
+            _add_composed_block(rows, base, right_nz[q], p, -1, d)
+            _add_composed_block(rows, base, left_nz[p], q, -1, d)
+    elif kind == LIE_HIGHER:
+        rbrk_nz = [_nonzeros(m) for m in rbrk]
+        for t, (p, q) in enumerate(tuples):
+            base = t * d
+            _add_value_block(rows, base, alg.bracket(basis[p], basis[q]), d)
             # −[L(b_p), b_q] − [b_p, L(b_q)]
-            _add_composed_block(rows, base, rbrk[q], p, -1, d)
-            _add_composed_block(rows, base, rbrk[p], q, 1, d)
-        else:
-            p, q, r = tup
-            w = alg.bracket(basis[p], basis[q])
-            _add_value_block(rows, base, alg.bracket(w, basis[r]), 1, d)
-            # −[[L(b_p), b_q], b_r] − [[b_p, L(b_q)], b_r] − [[b_p, b_q], L(b_r)]
-            _add_composed_block(rows, base, rbrk[r].mul(rbrk[q]), p, -1, d)
-            _add_composed_block(rows, base, rbrk[r].mul(rbrk[p]), q, 1, d)
-            _add_composed_block(rows, base, alg.adjoint_matrix(w), r, -1, d)
-    return Matrix.from_rows([tuple(row) for row in rows], d * d)
+            _add_composed_block(rows, base, rbrk_nz[q], p, -1, d)
+            _add_composed_block(rows, base, rbrk_nz[p], q, 1, d)
+    else:
+        # u ↦ [[u, b_q], b_r], shared by every triple with that (r, q)
+        rbrk2_nz = [[_nonzeros(rbrk[r].mul(rbrk[q])) for q in range(d)] for r in range(d)]
+        base = 0
+        for p, q in sorted({(p, q) for (p, q, _) in tuples}):
+            ad_w = alg.adjoint_matrix(alg.bracket(basis[p], basis[q]))
+            ad_w_nz = _nonzeros(ad_w)
+            for r in range(d):
+                # [[b_p, b_q], b_r] is column r of ad_w
+                _add_value_block(rows, base, ad_w.column(r), d)
+                # −[[L(b_p), b_q], b_r] − [[b_p, L(b_q)], b_r] − [[b_p, b_q], L(b_r)]
+                _add_composed_block(rows, base, rbrk2_nz[r][q], p, -1, d)
+                _add_composed_block(rows, base, rbrk2_nz[r][p], q, 1, d)
+                _add_composed_block(rows, base, ad_w_nz, r, -1, d)
+                base += d
+    # the entries are Scalars already; Matrix.from_rows would coerce each again
+    return Matrix(len(rows), d * d, tuple(tuple(row) for row in rows))
 
 
 @lru_cache(maxsize=None)

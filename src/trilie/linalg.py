@@ -9,6 +9,14 @@ Scalars are ``gmpy2.mpq`` when available (much faster) and
 ``fractions.Fraction`` otherwise.  Both keep lowest terms and a positive
 denominator.  Values entering from outside go through :func:`scalar`, which
 rejects floats and decimal strings so inexact data can never leak in.
+
+:class:`FactoredSolver`, which factors the large coefficient systems, is
+integer and fraction-free: it clears each row's denominators, eliminates on
+sparse rows of plain Python ints (under either backend), and divides by the
+pivots only at the end.  Scalars appear only at its boundaries, and its
+canonical RREF is the one :func:`rref` gives.  :func:`rref`,
+:func:`solve_affine` and the consistency sweep of
+:meth:`FactoredSolver.solve` still compute on Scalars.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Scalar
@@ -345,10 +354,6 @@ def nullspace(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis.span(m.cols, _nullspace_vectors(reduced.entries, pivots, m.cols))
 
 
-def subspace_contains(s: SubspaceBasis, v: Vector) -> bool:
-    return s.contains(v)
-
-
 @dataclass(frozen=True)
 class AffineSolutionSet:
     """Solutions of a linear system: particular + span(homogeneous).
@@ -403,6 +408,84 @@ def solve_affine(m: Matrix, b: Vector) -> AffineSolutionSet:
     return AffineSolutionSet(tuple(x), homogeneous)
 
 
+def _integer_row(row):
+    """A Scalar row as ({column: int} for its nonzero entries, den): the row
+    times den, the least common denominator of its entries."""
+    # most entries of a sparse matrix are the shared ZERO, which the identity
+    # test skips without a Python-level __bool__ call
+    nonzero = [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+    den = lcm(*(int(x.denominator) for _, x in nonzero))
+    return {j: int(x.numerator) * (den // int(x.denominator)) for j, x in nonzero}, den
+
+
+def _eliminate(w: dict, e: dict, p: int):
+    """Clear column p of the sparse int row w in place with w ← a·w − c·e,
+    where a/c = e[p]/w[p] in lowest terms and a > 0."""
+    a, c = e[p], w[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a < 0:
+        a, c = -a, -c
+    if a != 1:
+        for j in w:
+            w[j] *= a
+    for j, y in e.items():
+        v = w.get(j, 0) - c * y
+        if v:
+            w[j] = v
+        else:
+            del w[j]
+
+
+def _divide_content(w: dict):
+    """Divide the sparse int row w in place by the gcd of its entries."""
+    g = gcd(*w.values())
+    if g != 1:
+        for j in w:
+            w[j] //= g
+
+
+def _echelon(rows):
+    """Fraction-free reduced echelon form of sparse int rows, taken in order.
+
+    Returns (picked, echelon): the indices of the rows independent of the rows
+    before them, and {lead column: primitive int row} spanning those rows,
+    each row zero at every other lead.  A row is reduced only at the leads it
+    touches, so sparse rows stay cheap.
+    """
+    picked = []
+    echelon = {}
+    for idx, row in enumerate(rows):
+        w = dict(row)
+        for p in [p for p in w if p in echelon]:
+            _eliminate(w, echelon[p], p)
+        if not w:
+            continue
+        lead = min(w)
+        _divide_content(w)
+        for e in echelon.values():
+            if lead in e:
+                _eliminate(e, w, lead)
+                _divide_content(e)
+        echelon[lead] = w
+        picked.append(idx)
+    return picked, echelon
+
+
+def _reduced_rows(echelon: dict, width: int):
+    """(pivots, rows): the echelon divided by its leads, in lead order, as
+    dense Scalar rows: the rows of the canonical RREF."""
+    pivots = tuple(sorted(echelon))
+    rows = []
+    for p in pivots:
+        e = echelon[p]
+        row = [ZERO] * width
+        for j, x in e.items():
+            row[j] = Scalar(x, e[p])
+        rows.append(tuple(row))
+    return pivots, tuple(rows)
+
+
 class FactoredSolver:
     """One-time row reduction of a fixed coefficient matrix, reusable across
     many right-hand sides.
@@ -411,49 +494,33 @@ class FactoredSolver:
     coefficient matrix per problem family; factoring it once turns each
     subsequent solve into a substitution plus a consistency sweep.  Results
     agree exactly with :func:`solve_affine`.
+
+    The factorization is integer and fraction-free: each row has its
+    denominators cleared, elimination cross-multiplies and divides out row
+    contents, and Scalars appear only at the boundaries, when the final
+    echelon rows are divided by their pivots.  A first pass picks, in row
+    order, the rows independent of the rows before them (``picked``); a second
+    runs Gauss–Jordan on ``[M_picked | I]``, whose canonical RREF is
+    ``[R | T]`` with ``R`` the RREF of ``M`` and ``T·M_picked = R``.
     """
 
     def __init__(self, m: Matrix):
         self.matrix = m
-        picked = []           # indices of a maximal independent row subset
-        echelon = {}          # pivot column -> fully reduced row (list)
-        for idx, row in enumerate(m.entries):
-            w = list(row)
-            for p, erow in echelon.items():
-                c = w[p]
-                if c:
-                    for k in range(m.cols):
-                        if erow[k]:
-                            w[k] -= c * erow[k]
-            lead = next((k for k, x in enumerate(w) if x), None)
-            if lead is None:
-                continue
-            inv = ONE / w[lead]
-            if inv != ONE:
-                w = [x * inv for x in w]
-            for erow in echelon.values():
-                c = erow[lead]
-                if c:
-                    for k in range(m.cols):
-                        if w[k]:
-                            erow[k] -= c * w[k]
-            echelon[lead] = w
-            picked.append(idx)
+        n = m.cols
+        scaled = [_integer_row(row) for row in m.entries]
+        picked, _ = _echelon(w for w, _ in scaled)
         self.picked = tuple(picked)
-        self.rank = len(picked)
-        if picked:
-            aug = [tuple(m.entries[idx]) + unit_vector(len(picked), pos)
-                   for pos, idx in enumerate(picked)]
-            reduced, pivots, rank = rref(Matrix.from_rows(aug, m.cols + len(picked)))
-            # the picked rows are independent, so every pivot sits in the left block
-            assert rank == len(picked) and all(p < m.cols for p in pivots)
-            self._reduced = reduced
-            self._pivots = pivots
-        else:
-            self._reduced = Matrix.zero(0, m.cols)
-            self._pivots = ()
-        self.nullspace = SubspaceBasis.span(
-            m.cols, _nullspace_vectors(self._reduced.entries, self._pivots, m.cols))
+        self.rank = k = len(picked)
+        # [M_picked | I], each row times its den: a row scaling, so the RREF is the same
+        independent, echelon = _echelon({**scaled[idx][0], n + pos: scaled[idx][1]}
+                                        for pos, idx in enumerate(picked))
+        if len(independent) != k or any(p >= n for p in echelon):
+            raise ArithmeticError("factorization picked dependent rows")
+        self._pivots, rows = _reduced_rows(echelon, n + k)
+        self._reduced = Matrix(k, n + k, rows)
+        _, kernel = _echelon(_integer_row(v)[0]
+                             for v in _nullspace_vectors(rows, self._pivots, n))
+        self.nullspace = SubspaceBasis(n, _reduced_rows(kernel, n)[1])
 
     def solve(self, b: Vector) -> AffineSolutionSet:
         m = self.matrix

@@ -303,8 +303,6 @@ def center_transfer(tri: TriangularAlgebra) -> CenterTransfer:
     return CenterTransfer(domain, codomain, matrix)
 
 
-eta = center_transfer
-
 
 def format_block(tri: TriangularAlgebra, x) -> str:
     """Render an element as its 2×2 block display."""

@@ -23,7 +23,6 @@ from trilie.linalg import (
     Matrix,
     SubspaceBasis,
     scalar,
-    subspace_contains,
     unit_vector,
     vec_is_zero,
     vector,
@@ -137,7 +136,7 @@ def test_center_dimensions_and_oracle(alg, expected_dim):
     z = center(alg)
     assert z.dim == expected_dim
     assert z == brute_force_center(alg)
-    assert subspace_contains(z, vector(alg.unit))
+    assert z.contains(vector(alg.unit))
     for v in z.vectors:
         for j in range(alg.dim):
             bj = alg.basis_vector(j)

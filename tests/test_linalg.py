@@ -21,7 +21,6 @@ from trilie.linalg import (
     rref,
     scalar,
     solve_affine,
-    subspace_contains,
     subspace_intersection,
     subspace_sum,
     unit_vector,
@@ -178,9 +177,9 @@ def test_subspace_canonical_equality():
     s1 = SubspaceBasis.span(2, [vector([1, 2]), vector([3, 6])])
     s2 = SubspaceBasis.span(2, [vector([2, 4])])
     assert s1 == s2 and s1.dim == 1
-    assert subspace_contains(s1, vector([2, 4]))
-    assert not subspace_contains(s1, vector([1, 0]))
-    assert subspace_contains(s1, zero_vector(2))
+    assert s1.contains(vector([2, 4]))
+    assert not s1.contains(vector([1, 0]))
+    assert s1.contains(zero_vector(2))
     empty = SubspaceBasis.span(2, [])
     assert not empty.contains(vector([0, 1]))
     assert empty.contains(zero_vector(2))

@@ -27,7 +27,6 @@ from trilie.catalog import (
 )
 from trilie.linalg import (
     SubspaceBasis,
-    subspace_contains,
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -43,7 +42,6 @@ from trilie.triangular import (
     center_subspace,
     center_transfer,
     center_triangular,
-    eta,
     format_block,
 )
 
@@ -135,7 +133,7 @@ def test_center_dimension_and_shape(name):
     assert sub.dim == len(elements)
     for c in elements:
         total = tri.assemble(c.a_part, zero_vector(tri.dim_m), c.b_part)
-        assert subspace_contains(sub, total)
+        assert sub.contains(total)
         # commutes with everything
         for i in range(tri.dim):
             bi = tri.algebra.basis_vector(i)
@@ -179,7 +177,7 @@ def test_center_values():
 
 def test_eta_identity_case():
     tri = tri_q_q_q()
-    tr = eta(tri)
+    tr = center_transfer(tri)
     assert tr.domain.dim == tr.codomain.dim == 1
     assert tr.apply(vector([1])) == vector([1])
     assert tr.apply_inverse(vector([1])) == vector([1])
