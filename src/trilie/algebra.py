@@ -7,17 +7,23 @@ computed object (center bases, derivation spaces, reports) is deterministic.
 
 Algebras are always unital and the unit's coordinates must be supplied
 explicitly rather than searched for.
+
+Products and brackets are one pass over a sparse table of the nonzero
+structure constants (linalg.bilinear); the bracket table holds the
+constants c_ij − c_ji of xy − yx.  The tables and the hash are computed once
+per algebra and cached on the instance.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import (
     Matrix,
     SubspaceBasis,
-    ZERO,
+    bilinear,
     format_vector,
     nullspace,
+    sparse_table,
     unit_vector,
     vec_is_zero,
     vec_sub,
@@ -125,57 +131,52 @@ class Algebra:
     def basis_vector(self, i: int):
         return unit_vector(self.dim, i)
 
-    def multiply(self, x, y):
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash of the compared fields, computed once: lru_cache
+        # lookups keyed by an algebra would otherwise rehash d³ scalars
+        return hash((self.dim, self.struct_consts, self.unit))
+
+    @cached_property
+    def _product_table(self) -> tuple:
+        return sparse_table(self.struct_consts)
+
+    @cached_property
+    def _bracket_table(self) -> tuple:
+        sc = self.struct_consts
+        return sparse_table([[vec_sub(sc[i][j], sc[j][i]) for j in range(self.dim)]
+                             for i in range(self.dim)])
+
+    def _check_operands(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element length does not match algebra dimension")
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.struct_consts[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, c in enumerate(row[j]):
-                    if c:
-                        out[k] += coeff * c
-        return tuple(out)
+
+    def multiply(self, x, y):
+        self._check_operands(x, y)
+        return bilinear(self._product_table, x, y, self.dim)
 
     def bracket(self, x, y):
-        return vec_sub(self.multiply(x, y), self.multiply(y, x))
+        """[x, y] = xy − yx, in one pass over the constants c_ij − c_ji."""
+        self._check_operands(x, y)
+        return bilinear(self._bracket_table, x, y, self.dim)
 
     def left_mult_matrix(self, x) -> Matrix:
         """Matrix of v ↦ x·v (columns are x · basis_j)."""
-        cols = []
-        for j in range(self.dim):
-            col = [ZERO] * self.dim
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for k, c in enumerate(self.struct_consts[i][j]):
-                    if c:
-                        col[k] += xi * c
-            cols.append(tuple(col))
-        return Matrix.from_columns(cols, self.dim)
+        return Matrix.from_columns(
+            [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)], self.dim)
 
     def right_mult_matrix(self, x) -> Matrix:
         """Matrix of v ↦ v·x (columns are basis_j · x)."""
-        cols = []
-        for j in range(self.dim):
-            col = [ZERO] * self.dim
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for k, c in enumerate(self.struct_consts[j][i]):
-                    if c:
-                        col[k] += xi * c
-            cols.append(tuple(col))
-        return Matrix.from_columns(cols, self.dim)
+        return Matrix.from_columns(
+            [self.multiply(self.basis_vector(j), x) for j in range(self.dim)], self.dim)
 
     def adjoint_matrix(self, x) -> Matrix:
         """Matrix of v ↦ [x, v]."""
-        return self.left_mult_matrix(x) - self.right_mult_matrix(x)
+        return Matrix.from_columns(
+            [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)], self.dim)
 
 
 def validate_algebra(alg: Algebra) -> tuple:

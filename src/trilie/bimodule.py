@@ -3,13 +3,16 @@
 left_action[i][j] holds the coordinates of (A-basis_i)·(M-basis_j);
 right_action[j][i] holds the coordinates of (M-basis_j)·(B-basis_i).
 Validation rechecks the module axioms exactly on basis triples, which by
-bilinearity settles them for all elements.
+bilinearity settles them for all elements.  Both actions are one pass over a
+sparse table of their nonzero constants (linalg.bilinear), built once per
+bimodule.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Algebra, Violation
-from .linalg import Matrix, ZERO, nullspace, unit_vector, vector
+from .linalg import Matrix, bilinear, nullspace, sparse_table, unit_vector, vector
 
 
 @dataclass(frozen=True)
@@ -42,37 +45,32 @@ class Bimodule:
             for j in range(dim_m))
         return Bimodule(algebra_a, algebra_b, dim_m, left, right)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, computed once (see Algebra._hash)
+        return hash((self.algebra_a, self.algebra_b, self.dim_m,
+                     self.left_action, self.right_action))
+
+    @cached_property
+    def _left_table(self) -> tuple:
+        return sparse_table(self.left_action)
+
+    @cached_property
+    def _right_table(self) -> tuple:
+        return sparse_table(self.right_action)
+
     def act_left(self, a, m):
         if len(a) != self.algebra_a.dim or len(m) != self.dim_m:
             raise ValueError("left action dimension mismatch")
-        out = [ZERO] * self.dim_m
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, mj in enumerate(m):
-                if not mj:
-                    continue
-                coeff = ai * mj
-                for k, c in enumerate(self.left_action[i][j]):
-                    if c:
-                        out[k] += coeff * c
-        return tuple(out)
+        return bilinear(self._left_table, a, m, self.dim_m)
 
     def act_right(self, m, b):
         if len(b) != self.algebra_b.dim or len(m) != self.dim_m:
             raise ValueError("right action dimension mismatch")
-        out = [ZERO] * self.dim_m
-        for j, mj in enumerate(m):
-            if not mj:
-                continue
-            for i, bi in enumerate(b):
-                if not bi:
-                    continue
-                coeff = mj * bi
-                for k, c in enumerate(self.right_action[j][i]):
-                    if c:
-                        out[k] += coeff * c
-        return tuple(out)
+        return bilinear(self._right_table, m, b, self.dim_m)
 
     def act(self, a, m, b=None):
         """a·m, m·b, or a·m·b; pass None to skip a side."""

@@ -290,8 +290,10 @@ def decompose(tri: TriangularAlgebra, seq: HigherMapSequence) -> ProperDecomposi
     emb = ext.embedding_map()
     for n in range(comps.top_level + 1):
         total = dec.delta[n].matrix + dec.chi[n].matrix
-        assert total == emb.matrix.mul(seq.levels[n].matrix), \
-            "the split must reassemble to the embedded input exactly"
+        if total != emb.matrix.mul(seq.levels[n].matrix):
+            raise StructureError(
+                "split-reassembly", (n,),
+                "the split must reassemble to the embedded input exactly")
     return dec
 
 
@@ -318,7 +320,9 @@ def verify_properness(tri: TriangularAlgebra, seq: HigherMapSequence,
     compatibility laws h_n(a·m) = Σ d_i(a)·h_j(m) and h_n(m·b) = Σ
     h_i(m)·d'_j(b); and the corner laws: {d_n} and {d'_n} each satisfy the
     higher-derivation law inside A0 and B0.  Failures are collected (first
-    witness per law and level), never raised."""
+    witness per law and level), never raised; only a disagreement between
+    the two reads of the computed center, an internal fault, raises
+    ArithmeticError."""
     ext = dec.extension
     big = ext.extended.algebra
     base = tri.algebra
@@ -354,7 +358,10 @@ def verify_properness(tri: TriangularAlgebra, seq: HigherMapSequence,
         for c in range(base.dim):
             value = dec.chi[n].matrix.column(c)
             in_center = vec_is_zero(annihilator.apply(value))
-            assert in_center == zcenter.contains(value)  # same subspace, two reads
+            if in_center != zcenter.contains(value):  # same subspace, two reads
+                raise ArithmeticError(
+                    "the center annihilator and the center basis disagree "
+                    f"on a χ value at level {n}, column {c}")
             # module-commutation criterion: no M block, and commutes with M
             sandwich = vec_is_zero(value[me_lo:me_hi])
             if sandwich:
@@ -619,54 +626,3 @@ def probe_conjecture(tri: TriangularAlgebra, seq: HigherMapSequence) -> ProbeRep
         report.append(ProbeLevel(n, "found", "affine", freedom))
     complete = all(lv.status == "found" for lv in report)
     return ProbeReport(tuple(report), complete)
-
-
-def lie_derivation_decompose(tri: TriangularAlgebra, lie_map: LinearMap):
-    """Independent single-level split of a Lie derivation: L = Δ + χ.
-
-    Implemented directly from the level-1 block formulas, without the
-    sequence machinery; serves as a cross-check of decompose at level 1.
-    Returns (delta, chi) as maps into the extension."""
-    ext = build_operator_extension(tri)
-    da, dm, db = tri.dim_a, tri.dim_m, tri.dim_b
-    zb = center(tri.part_b)
-    za = center(tri.part_a)
-    offset = tri.project(lie_map.apply(tri.e), SLOT_M)
-    delta_cols, chi_cols = [], []
-    for i in range(da):
-        a = tri.part_a.basis_vector(i)
-        image = lie_map.apply(tri.embed(a, SLOT_A))
-        f_val = tri.project(image, SLOT_A)
-        q_val = tri.project(image, SLOT_B)
-        if not zb.contains(q_val):
-            raise StructureError("opposite-corner-centrality", (1, "A", i),
-                                 "not a Lie derivation of a triangular algebra")
-        d_val = vec_sub(ext.iota_a.apply(f_val), ext.tau_right_inv(q_val))
-        mixed = tri.bimodule.act_left(a, offset)
-        delta_cols.append(ext.extended.assemble(d_val, mixed, zero_vector(ext.dim_b0)))
-        chi_cols.append(ext.extended.assemble(
-            ext.tau_right_inv(q_val), zero_vector(dm), ext.iota_b.apply(q_val)))
-    for j in range(dm):
-        m = unit_vector(dm, j)
-        image = lie_map.apply(tri.embed(m, SLOT_M))
-        delta_cols.append(ext.extended.assemble(
-            zero_vector(ext.dim_a0), tri.project(image, SLOT_M),
-            zero_vector(ext.dim_b0)))
-        chi_cols.append(zero_vector(ext.extended.dim))
-    for i in range(db):
-        b = tri.part_b.basis_vector(i)
-        image = lie_map.apply(tri.embed(b, SLOT_B))
-        g_val = tri.project(image, SLOT_B)
-        p_val = tri.project(image, SLOT_A)
-        if not za.contains(p_val):
-            raise StructureError("opposite-corner-centrality", (1, "B", i),
-                                 "not a Lie derivation of a triangular algebra")
-        dp_val = vec_sub(ext.iota_b.apply(g_val), ext.tau_left(p_val))
-        mixed = vec_sub(zero_vector(dm), tri.bimodule.act_right(offset, b))
-        delta_cols.append(ext.extended.assemble(
-            zero_vector(ext.dim_a0), mixed, dp_val))
-        chi_cols.append(ext.extended.assemble(
-            ext.iota_a.apply(p_val), zero_vector(dm), ext.tau_left(p_val)))
-    delta = LinearMap.from_columns(delta_cols, ext.extended.dim)
-    chi = LinearMap.from_columns(chi_cols, ext.extended.dim)
-    return delta, chi

@@ -27,6 +27,15 @@ P_s(p, q) = Σ_{i+j=s} [L_i(b_p), L_j(b_q)] are computed once and reused for
 every third index r and every later level, so
 
   rhs_n(p, q, r) = Σ_{k=0..n} [P_{n−k}(p, q), L_k(b_r)].
+
+The solver's lie-triple offset needs the same pair sums, but it keeps its
+own code.  level_system and the *_extend functions compute the offset of
+the prefix they are given from scratch (_level_offset).  Only inside
+sample_sequence, where the prefix grows one level at a time, are the pair
+sums carried from level to level (_LevelOffsets), so a level costs O(n)
+brackets per pair instead of O(n²).  Every product and bracket, on both
+paths, is one pass over the algebra's sparse structure-constant table
+(linalg.bilinear).
 """
 
 import random
@@ -169,7 +178,7 @@ def _coefficient_matrix(alg: Algebra, kind: str) -> Matrix:
         # u ↦ [[u, b_q], b_r], shared by every triple with that (r, q)
         rbrk2_nz = [[_nonzeros(rbrk[r].mul(rbrk[q])) for q in range(d)] for r in range(d)]
         base = 0
-        for p, q in sorted({(p, q) for (p, q, _) in tuples}):
+        for p, q in _constraint_tuples(alg, LIE_HIGHER):  # the (p, q) of the triples
             ad_w = alg.adjoint_matrix(alg.bracket(basis[p], basis[q]))
             ad_w_nz = _nonzeros(ad_w)
             for r in range(d):
@@ -189,48 +198,101 @@ def _kind_solver(alg: Algebra, kind: str) -> FactoredSolver:
     return FactoredSolver(_coefficient_matrix(alg, kind))
 
 
+def _columns(levels):
+    """Each map's basis images, by [level][basis index]."""
+    return [[lm.matrix.column(i) for i in range(lm.source_dim)] for lm in levels]
+
+
+def _pair_sum(alg: Algebra, cols, p: int, q: int, s: int, lo: int = 0):
+    """Σ [L_i(b_p), L_{s−i}(b_q)] over lo ≤ i ≤ s − lo: the full level-s
+    pair sum for lo = 0, and without its two end terms for lo = 1."""
+    acc = zero_vector(alg.dim)
+    for i in range(lo, s - lo + 1):
+        acc = vec_add(acc, alg.bracket(cols[i][p], cols[s - i][q]))
+    return acc
+
+
+def _triple_offset(alg: Algebra, cols, full: dict, partial: dict):
+    """The lie-triple offset at level n = len(cols), from the pair sums
+    full[(p, q)][s] for s < n and partial[(p, q)], the level-n pair sum
+    without its two end terms.
+
+    Terms are grouped by the level k of the third slot.  For k = 0 the inner
+    sum runs over i + j = n with i, j ≥ 1 (the i = n and j = n terms contain
+    the unknown and sit on the left side); for 1 ≤ k ≤ n−1 the inner sum is
+    complete; k = n contributes nothing because [[x, y], ·] of the identity
+    map's bracket belongs to the unknown side."""
+    n = len(cols)
+    out = []
+    for p, q, r in _constraint_tuples(alg, LIE_TRIPLE_HIGHER):
+        pair = full[(p, q)]
+        acc = alg.bracket(partial[(p, q)], cols[0][r])
+        for k in range(1, n):
+            acc = vec_add(acc, alg.bracket(pair[n - k], cols[k][r]))
+        out.extend(acc)
+    return tuple(out)
+
+
 def _level_offset(alg: Algebra, kind: str, levels: tuple):
     """Right-hand side for extending the given prefix by one level."""
-    d = alg.dim
     n = len(levels)  # the level being solved for
-    tuples = _constraint_tuples(alg, kind)
-    cols = [[lm.matrix.column(i) for i in range(d)] for lm in levels]
-    out = []
+    cols = _columns(levels)
     if kind in (HIGHER, LIE_HIGHER):
+        d = alg.dim
         combine = alg.multiply if kind == HIGHER else alg.bracket
-        for p, q in tuples:
+        out = []
+        for p, q in _constraint_tuples(alg, kind):
             acc = zero_vector(d)
             for i in range(1, n):
                 acc = vec_add(acc, combine(cols[i][p], cols[n - i][q]))
             out.extend(acc)
         return tuple(out)
+    pairs = _constraint_tuples(alg, LIE_HIGHER)  # the (p, q) of the triples
+    full = {(p, q): [_pair_sum(alg, cols, p, q, s) for s in range(n)] for p, q in pairs}
+    partial = {(p, q): _pair_sum(alg, cols, p, q, n, lo=1) for p, q in pairs}
+    return _triple_offset(alg, cols, full, partial)
 
-    # lie-triple: group terms by the level k of the third slot.  For k = 0 the
-    # inner sum runs over i + j = n with i, j ≥ 1 (the i = n and j = n terms
-    # contain the unknown and sit on the left side); for 1 ≤ k ≤ n−1 the inner
-    # sum is complete; k = n contributes nothing because [[x, y], ·] of the
-    # identity map's bracket belongs to the unknown side.
-    pair_sums = {}
-    pairs = sorted({(p, q) for (p, q, _) in tuples})
-    for p, q in pairs:
-        full = []  # full[s] = Σ_{i+j=s} [L_i(b_p), L_j(b_q)]
-        for s in range(n):
-            acc = zero_vector(d)
-            for i in range(0, s + 1):
-                acc = vec_add(acc, alg.bracket(cols[i][p], cols[s - i][q]))
-            full.append(acc)
-        partial_n = zero_vector(d)
-        for i in range(1, n):
-            partial_n = vec_add(partial_n, alg.bracket(cols[i][p], cols[n - i][q]))
-        pair_sums[(p, q)] = (full, partial_n)
-    basis = [alg.basis_vector(i) for i in range(d)]
-    for p, q, r in tuples:
-        full, partial_n = pair_sums[(p, q)]
-        acc = alg.bracket(partial_n, basis[r])
-        for k in range(1, n):
-            acc = vec_add(acc, alg.bracket(full[n - k], cols[k][r]))
-        out.extend(acc)
-    return tuple(out)
+
+class _LevelOffsets:
+    """The offsets of one growing sequence, level after level, for
+    sample_sequence.
+
+    For lie-triple-higher the pair sums full_s(p, q) = Σ_{i+j=s} [L_i(b_p),
+    L_j(b_q)] depend only on L_0..L_s, so each is kept from the level that
+    completes it: full_n = partial_n + [b_p, L_n(b_q)] + [L_n(b_p), b_q],
+    where partial_n is the level-n pair sum the offset already needed.  The
+    other kinds have no nested sum and use _level_offset as is.
+    """
+
+    def __init__(self, alg: Algebra, kind: str):
+        self.alg, self.kind = alg, kind
+        self.levels = (LinearMap.identity(alg.dim),)
+        if kind == LIE_TRIPLE_HIGHER:
+            self.cols = _columns(self.levels)
+            self.full = {(p, q): [alg.bracket(self.cols[0][p], self.cols[0][q])]
+                         for p, q in _constraint_tuples(alg, LIE_HIGHER)}
+            self.partial = {}
+
+    def offset(self):
+        """The offset for extending self.levels by one level."""
+        if self.kind != LIE_TRIPLE_HIGHER:
+            return _level_offset(self.alg, self.kind, self.levels)
+        n = len(self.cols)
+        self.partial = {(p, q): _pair_sum(self.alg, self.cols, p, q, n, lo=1)
+                        for p, q in self.full}
+        return _triple_offset(self.alg, self.cols, self.full, self.partial)
+
+    def append(self, level_map: LinearMap):
+        """Extend by L_n, after offset() has given the level-n offset."""
+        self.levels += (level_map,)
+        if self.kind != LIE_TRIPLE_HIGHER:
+            return
+        self.cols.append(_columns((level_map,))[0])
+        ident, top = self.cols[0], self.cols[-1]
+        bracket = self.alg.bracket
+        for (p, q), pair in self.full.items():
+            ends = vec_add(bracket(ident[p], top[q]), bracket(top[p], ident[q]))
+            pair.append(vec_add(self.partial[(p, q)], ends))
 
 
 def level_system(alg: Algebra, kind: str, prefix: HigherMapSequence) -> LevelSystem:
@@ -239,16 +301,19 @@ def level_system(alg: Algebra, kind: str, prefix: HigherMapSequence) -> LevelSys
                        _level_offset(alg, kind, prefix.levels))
 
 
-def _extend(alg: Algebra, kind: str, prefix: HigherMapSequence) -> AffineSolutionSet:
-    if prefix.levels[0].matrix != Matrix.identity(alg.dim):
-        raise SequenceError("a sequence prefix must start with the identity map")
-    offset = _level_offset(alg, kind, prefix.levels)
+def _solve_level(alg: Algebra, kind: str, offset) -> AffineSolutionSet:
     sol = _kind_solver(alg, kind).solve(offset)
     if sol.is_empty:
         raise SequenceError(
             "level extension became inconsistent; the prefix cannot satisfy "
             "the lower-level identities")
     return sol
+
+
+def _extend(alg: Algebra, kind: str, prefix: HigherMapSequence) -> AffineSolutionSet:
+    if prefix.levels[0].matrix != Matrix.identity(alg.dim):
+        raise SequenceError("a sequence prefix must start with the identity map")
+    return _solve_level(alg, kind, _level_offset(alg, kind, prefix.levels))
 
 
 def higher_extend(alg: Algebra, prefix: HigherMapSequence) -> AffineSolutionSet:
@@ -293,16 +358,16 @@ def sample_sequence(alg: Algebra, kind: str, levels: int, seed) -> HigherMapSequ
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     rng = random.Random(seed)
-    seq = HigherMapSequence(kind, (LinearMap.identity(alg.dim),))
+    offsets = _LevelOffsets(alg, kind)
     for _ in range(levels):
-        sol = _extend(alg, kind, seq)
+        sol = _solve_level(alg, kind, offsets.offset())
         v = sol.particular
         for h in sol.homogeneous.vectors:
             coeff = scalar(rng.randint(-9, 9)) / scalar(rng.randint(1, 9))
             if coeff:
                 v = vec_add(v, vec_scale(coeff, h))
-        seq = HigherMapSequence(kind, seq.levels + (map_from_vector(v, alg.dim),))
-    return seq
+        offsets.append(map_from_vector(v, alg.dim))
+    return HigherMapSequence(kind, offsets.levels)
 
 
 class _Law:

@@ -14,9 +14,17 @@ rejects floats and decimal strings so inexact data can never leak in.
 integer and fraction-free: it clears each row's denominators, eliminates on
 sparse rows of plain Python ints (under either backend), and divides by the
 pivots only at the end.  Scalars appear only at its boundaries, and its
-canonical RREF is the one :func:`rref` gives.  :func:`rref`,
-:func:`solve_affine` and the consistency sweep of
-:meth:`FactoredSolver.solve` still compute on Scalars.
+canonical RREF is the one :func:`rref` gives.  :func:`rref` and
+:func:`solve_affine` still compute on dense Scalar rows.
+:meth:`FactoredSolver.solve` checks every row the factorization did not pick
+over that row's nonzero entries only, kept once, at the first solve.
+
+Structure constants are mostly zero (the catalog algebras have 4–12 nonzero
+constants out of 27–216), so bilinear maps given by them (products,
+brackets, module actions) are evaluated by :func:`bilinear` over a
+:func:`sparse_table` that lists only the nonzero constants; algebras and
+bimodules build their tables once and cache them.  :func:`vec_add`,
+:func:`vec_sub` and :meth:`Matrix.apply` skip zero entries the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 try:
@@ -73,29 +82,57 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     assert len(u) == len(v)
-    return tuple(a + b for a, b in zip(u, v))
+    # a zero summand passes the other entry through without arithmetic
+    return tuple((a + b if a else b) if b else a for a, b in zip(u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
     assert len(u) == len(v)
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple((a - b if a else -b) if b else a for a, b in zip(u, v))
 
 
 def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
-def vec_dot(u: Vector, v: Vector):
-    assert len(u) == len(v)
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc += a * b
-    return acc
-
-
 def vec_is_zero(v: Vector) -> bool:
     return all(not a for a in v)
+
+
+def sparse_table(tensor) -> tuple:
+    """The nonzero entries of a bilinear map's tensor, for :func:`bilinear`.
+
+    tensor[i][j] is the coordinate vector of the map on the basis pair
+    (i, j).  The table lists ``(i, ((j, ((k, c), ...)), ...))`` with only
+    the pairs whose vector is nonzero, and in each vector only the nonzero
+    coordinates c at k; rows with no nonzero pair are left out.
+    """
+    table = []
+    for i, row in enumerate(tensor):
+        cells = []
+        for j, v in enumerate(row):
+            cell = tuple((k, c) for k, c in enumerate(v) if c)
+            if cell:
+                cells.append((j, cell))
+        if cells:
+            table.append((i, tuple(cells)))
+    return tuple(table)
+
+
+def bilinear(table: tuple, x: Vector, y: Vector, dim: int) -> Vector:
+    """Σ x_i y_j T[i][j] over the nonzero entries of x, y and the table T
+    of :func:`sparse_table`, as a vector of length dim."""
+    out = [ZERO] * dim
+    for i, cells in table:
+        xi = x[i]
+        if xi:
+            for j, cell in cells:
+                yj = y[j]
+                if yj:
+                    coeff = xi * yj
+                    for k, c in cell:
+                        out[k] += coeff * c
+    return tuple(out)
 
 
 def format_vector(v: Vector) -> str:
@@ -150,16 +187,18 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product self·v."""
+        """Matrix-vector product self·v, over the nonzero entries of v."""
         if len(v) != self.cols:
             raise ValueError(f"cannot apply {self.rows}x{self.cols} matrix to length-{len(v)} vector")
-        out = [ZERO] * self.rows
-        for i, row in enumerate(self.entries):
+        support = [(j, b) for j, b in enumerate(v) if b]
+        out = []
+        for row in self.entries:
             acc = ZERO
-            for a, b in zip(row, v):
-                if a and b:
+            for j, b in support:
+                a = row[j]
+                if a:
                     acc += a * b
-            out[i] = acc
+            out.append(acc)
         return tuple(out)
 
     def mul(self, other: "Matrix") -> "Matrix":
@@ -522,26 +561,37 @@ class FactoredSolver:
                              for v in _nullspace_vectors(rows, self._pivots, n))
         self.nullspace = SubspaceBasis(n, _reduced_rows(kernel, n)[1])
 
+    @cached_property
+    def _sweep(self) -> tuple:
+        """(index, ((column, entry), ...)) for every row not picked, with
+        only the row's nonzero entries; built on the first solve."""
+        picked = set(self.picked)
+        return tuple((idx, tuple((j, a) for j, a in enumerate(row) if a))
+                     for idx, row in enumerate(self.matrix.entries) if idx not in picked)
+
     def solve(self, b: Vector) -> AffineSolutionSet:
         m = self.matrix
         if len(b) != m.rows:
             raise ValueError(f"right-hand side length {len(b)} != row count {m.rows}")
-        x = [ZERO] * m.cols
         n = m.cols
-        for i, p in enumerate(self._pivots):
-            # transform block of the factored matrix applied to b's picked entries
+        # the transform block of the factored matrix applied to b's picked entries
+        b_picked = [(n + j, b[idx]) for j, idx in enumerate(self.picked) if b[idx]]
+        x = [ZERO] * n
+        for p, trow in zip(self._pivots, self._reduced.entries):
             acc = ZERO
-            trow = self._reduced.entries[i]
-            for j, idx in enumerate(self.picked):
-                t = trow[n + j]
-                if t and b[idx]:
-                    acc += t * b[idx]
+            for j, bj in b_picked:
+                t = trow[j]
+                if t:
+                    acc += t * bj
             x[p] = acc
         xt = tuple(x)
-        picked_set = set(self.picked)
-        for idx, row in enumerate(m.entries):
-            if idx in picked_set:
-                continue  # satisfied by construction
-            if vec_dot(row, xt) != b[idx]:
+        # picked rows hold by construction; every other row is checked exactly
+        for idx, row in self._sweep:
+            acc = ZERO
+            for j, a in row:
+                xj = x[j]
+                if xj:
+                    acc += a * xj
+            if acc != b[idx]:
                 return AffineSolutionSet(None, self.nullspace)
         return AffineSolutionSet(xt, self.nullspace)

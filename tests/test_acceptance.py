@@ -15,7 +15,6 @@ from trilie.catalog import catalog_names, load_catalog
 from trilie.decomposition import (
     decompose,
     extract_canonical,
-    lie_derivation_decompose,
     probe_conjecture,
     reconstruct,
     verify_properness,
@@ -40,6 +39,8 @@ from trilie.linalg import (
     zero_vector,
 )
 from trilie.triangular import center_transfer, center_triangular
+
+from test_decomposition import lie_derivation_decompose
 
 SEQUENCES_PER_ALGEBRA = 20
 TOP_LEVEL = 4

@@ -1,10 +1,14 @@
 """Tests for canonical components, the proper split, and the weakened probe."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from trilie.algebra import LinearMap
+from trilie.algebra import LinearMap, center
 from trilie.catalog import catalog_names, load_catalog
 from trilie.decomposition import (
     StructureError,
@@ -12,7 +16,6 @@ from trilie.decomposition import (
     _probe_system,
     decompose,
     extract_canonical,
-    lie_derivation_decompose,
     probe_conjecture,
     reconstruct,
     verify_properness,
@@ -33,9 +36,10 @@ from trilie.linalg import (
     scalar,
     unit_vector,
     vec_is_zero,
+    vec_sub,
     zero_vector,
 )
-from trilie.triangular import SLOT_A, SLOT_B, SLOT_M, center_subspace
+from trilie.triangular import SLOT_A, SLOT_B, SLOT_M, TriangularAlgebra, center_subspace
 
 
 def identity_pad(tri, levels):
@@ -43,6 +47,58 @@ def identity_pad(tri, levels):
     maps = [LinearMap.identity(d)]
     maps += [LinearMap.zero(d, d) for _ in range(levels)]
     return HigherMapSequence(LIE_HIGHER, tuple(maps))
+
+
+def lie_derivation_decompose(tri: TriangularAlgebra, lie_map: LinearMap):
+    """Independent single-level split of a Lie derivation: L = Δ + χ.
+
+    A test oracle implemented directly from the level-1 block formulas,
+    without the sequence machinery; serves as a cross-check of decompose at
+    level 1 (here and in test_acceptance).  Returns (delta, chi) as maps into
+    the extension."""
+    ext = build_operator_extension(tri)
+    da, dm, db = tri.dim_a, tri.dim_m, tri.dim_b
+    zb = center(tri.part_b)
+    za = center(tri.part_a)
+    offset = tri.project(lie_map.apply(tri.e), SLOT_M)
+    delta_cols, chi_cols = [], []
+    for i in range(da):
+        a = tri.part_a.basis_vector(i)
+        image = lie_map.apply(tri.embed(a, SLOT_A))
+        f_val = tri.project(image, SLOT_A)
+        q_val = tri.project(image, SLOT_B)
+        if not zb.contains(q_val):
+            raise StructureError("opposite-corner-centrality", (1, "A", i),
+                                 "not a Lie derivation of a triangular algebra")
+        d_val = vec_sub(ext.iota_a.apply(f_val), ext.tau_right_inv(q_val))
+        mixed = tri.bimodule.act_left(a, offset)
+        delta_cols.append(ext.extended.assemble(d_val, mixed, zero_vector(ext.dim_b0)))
+        chi_cols.append(ext.extended.assemble(
+            ext.tau_right_inv(q_val), zero_vector(dm), ext.iota_b.apply(q_val)))
+    for j in range(dm):
+        m = unit_vector(dm, j)
+        image = lie_map.apply(tri.embed(m, SLOT_M))
+        delta_cols.append(ext.extended.assemble(
+            zero_vector(ext.dim_a0), tri.project(image, SLOT_M),
+            zero_vector(ext.dim_b0)))
+        chi_cols.append(zero_vector(ext.extended.dim))
+    for i in range(db):
+        b = tri.part_b.basis_vector(i)
+        image = lie_map.apply(tri.embed(b, SLOT_B))
+        g_val = tri.project(image, SLOT_B)
+        p_val = tri.project(image, SLOT_A)
+        if not za.contains(p_val):
+            raise StructureError("opposite-corner-centrality", (1, "B", i),
+                                 "not a Lie derivation of a triangular algebra")
+        dp_val = vec_sub(ext.iota_b.apply(g_val), ext.tau_left(p_val))
+        mixed = vec_sub(zero_vector(dm), tri.bimodule.act_right(offset, b))
+        delta_cols.append(ext.extended.assemble(
+            zero_vector(ext.dim_a0), mixed, dp_val))
+        chi_cols.append(ext.extended.assemble(
+            ext.iota_a.apply(p_val), zero_vector(dm), ext.tau_left(p_val)))
+    delta = LinearMap.from_columns(delta_cols, ext.extended.dim)
+    chi = LinearMap.from_columns(chi_cols, ext.extended.dim)
+    return delta, chi
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -317,3 +373,28 @@ def test_central_part_never_leaves_embedded_center_here(name):
         for n in range(5):
             for c in range(tri.dim):
                 assert embedded.contains(dec.chi[n].matrix.column(c))
+
+
+def test_split_reassembly_mismatch_raises_under_optimize():
+    """The reassembly check in decompose is not an assert, so `python -O`
+    keeps it: a wrong embedding map makes Δ + χ miss ι∘L and raises."""
+    script = (
+        "from trilie.catalog import load_catalog\n"
+        "from trilie.decomposition import StructureError, decompose\n"
+        "from trilie.derivations import LIE_HIGHER, sample_sequence\n"
+        "from trilie.extension import ExtendedTriangular, build_operator_extension\n"
+        "tri = load_catalog('tri_t2_plane_q')\n"
+        "seq = sample_sequence(tri.algebra, LIE_HIGHER, 2, 0)\n"
+        "build_operator_extension(tri)\n"
+        "embedding_map = ExtendedTriangular.embedding_map\n"
+        "ExtendedTriangular.embedding_map = lambda self: embedding_map(self).scale(2)\n"
+        "try:\n"
+        "    decompose(tri, seq)\n"
+        "except StructureError as exc:\n"
+        "    print(exc.law, *exc.where)\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["split-reassembly", "0"]

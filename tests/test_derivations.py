@@ -21,6 +21,7 @@ from trilie.algebra import (
     rationals,
     upper_triangular_2x2,
 )
+from trilie import derivations
 from trilie.catalog import CATALOG, load_catalog
 from trilie.derivations import (
     HIGHER,
@@ -338,3 +339,26 @@ def test_scaled_homogeneous_members_solve():
         extended = HigherMapSequence(
             HIGHER, seq.levels + (map_from_vector(member, alg.dim),))
         assert verify_sequence(alg, extended) == ()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("kind", KINDS)
+def test_sampling_offsets_match_fresh_level_systems(name, kind, monkeypatch):
+    """sample_sequence carries the lie-triple pair sums from level to level;
+    every offset it solves with must be the one level_system computes from
+    scratch for the prefix sampled so far."""
+    alg = load_catalog(name).algebra
+    solve_level = derivations._solve_level
+    for seed in (0, 1, 2):
+        seen = []
+
+        def record(alg_, kind_, offset):
+            seen.append(offset)
+            return solve_level(alg_, kind_, offset)
+
+        monkeypatch.setattr(derivations, "_solve_level", record)
+        seq = sample_sequence(alg, kind, 4, seed)
+        monkeypatch.undo()
+        assert len(seen) == 4
+        for n, offset in enumerate(seen):
+            assert offset == level_system(alg, kind, seq.prefix(n)).offset, (seed, n)

@@ -2,10 +2,13 @@
 
 ReferenceFactoredSolver is FactoredSolver as it was before factorization
 became fraction-free: an incremental row pick on Scalars, then rref of
-[M_picked | I].  It stays here as the reference the integer kernel must match
-exactly: the same picked rows, pivots, reduced matrix, rank, nullspace and
-solutions, on seeded random rational matrices and on the coefficient systems
-of the catalog algebras and of a densely rebased Tri(T2, T2, T2).
+[M_picked | I].  Its solve() is the dense one from before the consistency
+sweep kept only each row's nonzero entries: it dots every entry of every
+non-picked row with the solution.  It stays here as the reference the
+integer kernel must match exactly: the same picked rows, pivots, reduced
+matrix, rank, nullspace and solutions, on seeded random rational matrices and
+on the coefficient systems of the catalog algebras and of a densely rebased
+Tri(T2, T2, T2).
 """
 
 import random
@@ -17,6 +20,7 @@ from trilie.derivations import KINDS, _coefficient_matrix
 from trilie.linalg import (
     ONE,
     ZERO,
+    AffineSolutionSet,
     FactoredSolver,
     Matrix,
     SubspaceBasis,
@@ -32,7 +36,7 @@ from test_coefficient_matrix import rebased_tri_t2_t2_t2
 
 
 class ReferenceFactoredSolver(FactoredSolver):
-    """The Fraction factorization; solve() is inherited unchanged."""
+    """The Fraction factorization and the dense solve."""
 
     def __init__(self, m: Matrix):
         self.matrix = m
@@ -74,6 +78,33 @@ class ReferenceFactoredSolver(FactoredSolver):
             self._pivots = ()
         self.nullspace = SubspaceBasis.span(
             m.cols, _nullspace_vectors(self._reduced.entries, self._pivots, m.cols))
+
+    def solve(self, b):
+        m = self.matrix
+        if len(b) != m.rows:
+            raise ValueError(f"right-hand side length {len(b)} != row count {m.rows}")
+        x = [ZERO] * m.cols
+        n = m.cols
+        for i, p in enumerate(self._pivots):
+            acc = ZERO
+            trow = self._reduced.entries[i]
+            for j, idx in enumerate(self.picked):
+                t = trow[n + j]
+                if t and b[idx]:
+                    acc += t * b[idx]
+            x[p] = acc
+        xt = tuple(x)
+        picked_set = set(self.picked)
+        for idx, row in enumerate(m.entries):
+            if idx in picked_set:
+                continue
+            dot = ZERO
+            for a, c in zip(row, xt):
+                if a and c:
+                    dot += a * c
+            if dot != b[idx]:
+                return AffineSolutionSet(None, self.nullspace)
+        return AffineSolutionSet(xt, self.nullspace)
 
 
 def assert_same_factorization(m: Matrix):
@@ -166,3 +197,43 @@ def test_factorization_matches_reference_on_coefficient_systems(name, kind):
 def test_factorization_matches_reference_on_rebased_coefficient_systems(kind):
     got, _ = assert_same_factorization(_coefficient_matrix(rebased_tri_t2_t2_t2(), kind))
     assert 0 < got.rank < got.matrix.cols
+
+
+def assert_same_solution(m: Matrix, b):
+    got, ref = FactoredSolver(m), ReferenceFactoredSolver(m)
+    solution = got.solve(b)
+    assert solution == ref.solve(b) == solve_affine(m, b)
+    return solution
+
+
+def test_sweep_catches_an_inconsistency_only_the_last_row_shows():
+    # rows 2..4 depend on rows 0 and 1; b is consistent except in the last row
+    m = Matrix.from_rows([[1, 0, 2], [0, 1, -1], [1, 1, 1], [2, -1, 5], [3, 1, 5]])
+    b = m.apply(vector([1, 2, 0]))
+    assert FactoredSolver(m).picked == (0, 1)
+    assert not assert_same_solution(m, b).is_empty
+    assert assert_same_solution(m, b[:-1] + (b[-1] + 1,)).is_empty
+
+
+def test_sweep_checks_rows_that_meet_only_zero_entries_of_x():
+    # the particular solution is (1, 0, 0): row 2 is nonzero only where x is
+    # zero, and row 3 is zero, so both dot to 0 and b must still be compared
+    m = Matrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 2, 2], [0, 0, 0]])
+    assert FactoredSolver(m).picked == (0, 1)
+    assert assert_same_solution(m, vector([1, 0, 0, 0])).particular == vector([1, 0, 0])
+    assert assert_same_solution(m, vector([1, 0, 5, 0])).is_empty
+    assert assert_same_solution(m, vector([1, 0, 0, -2])).is_empty
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sweep_checks_every_non_picked_row(seed):
+    """A consistent b, then b off by one in each non-picked row in turn."""
+    checked = 0
+    for rng, m in random_cases(100 + seed, 30):
+        b = m.apply(vector([rational(rng) for _ in range(m.cols)]))
+        assert not assert_same_solution(m, b).is_empty
+        for idx in set(range(m.rows)) - set(FactoredSolver(m).picked):
+            bad = b[:idx] + (b[idx] + 1,) + b[idx + 1:]
+            assert assert_same_solution(m, bad).is_empty
+            checked += 1
+    assert checked > 50
