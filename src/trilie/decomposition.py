@@ -595,7 +595,11 @@ def probe_conjecture(tri: TriangularAlgebra, seq: HigherMapSequence) -> ProbeRep
     d = tri.dim
     try:
         dec = decompose(tri, seq)
-    except (StructureError, ValueError):
+    except ValueError as exc:
+        # a split that does not reassemble is a fault of decompose, not of
+        # the input, so it must not turn into a fallback to the affine route
+        if isinstance(exc, StructureError) and exc.law == "split-reassembly":
+            raise
         dec = None
 
     solver, *_ = _probe_system(tri)

@@ -259,25 +259,33 @@ class _LevelOffsets:
 
     For lie-triple-higher the pair sums full_s(p, q) = Σ_{i+j=s} [L_i(b_p),
     L_j(b_q)] depend only on L_0..L_s, so each is kept from the level that
-    completes it: full_n = partial_n + [b_p, L_n(b_q)] + [L_n(b_p), b_q],
-    where partial_n is the level-n pair sum the offset already needed.  The
+    completes it: full_s = partial_s + [b_p, L_s(b_q)] + [L_s(b_p), b_q],
+    where partial_s is the level-s pair sum without its end terms, which the
+    level-s offset already needed.  full_s is completed when the level-(s+1)
+    offset asks for it, so the top level's end terms are never computed.  The
     other kinds have no nested sum and use _level_offset as is.
     """
 
     def __init__(self, alg: Algebra, kind: str):
         self.alg, self.kind = alg, kind
         self.levels = (LinearMap.identity(alg.dim),)
+        self.cols = _columns(self.levels)
         if kind == LIE_TRIPLE_HIGHER:
-            self.cols = _columns(self.levels)
             self.full = {(p, q): [alg.bracket(self.cols[0][p], self.cols[0][q])]
                          for p, q in _constraint_tuples(alg, LIE_HIGHER)}
             self.partial = {}
 
     def offset(self):
-        """The offset for extending self.levels by one level."""
+        """The offset for extending self.levels by one level; once per level."""
         if self.kind != LIE_TRIPLE_HIGHER:
             return _level_offset(self.alg, self.kind, self.levels)
         n = len(self.cols)
+        if n > 1:  # complete full_{n−1} from the last offset's partial sums
+            ident, top = self.cols[0], self.cols[n - 1]
+            bracket = self.alg.bracket
+            for (p, q), pair in self.full.items():
+                ends = vec_add(bracket(ident[p], top[q]), bracket(top[p], ident[q]))
+                pair.append(vec_add(self.partial[(p, q)], ends))
         self.partial = {(p, q): _pair_sum(self.alg, self.cols, p, q, n, lo=1)
                         for p, q in self.full}
         return _triple_offset(self.alg, self.cols, self.full, self.partial)
@@ -285,14 +293,7 @@ class _LevelOffsets:
     def append(self, level_map: LinearMap):
         """Extend by L_n, after offset() has given the level-n offset."""
         self.levels += (level_map,)
-        if self.kind != LIE_TRIPLE_HIGHER:
-            return
         self.cols.append(_columns((level_map,))[0])
-        ident, top = self.cols[0], self.cols[-1]
-        bracket = self.alg.bracket
-        for (p, q), pair in self.full.items():
-            ends = vec_add(bracket(ident[p], top[q]), bracket(top[p], ident[q]))
-            pair.append(vec_add(self.partial[(p, q)], ends))
 
 
 def level_system(alg: Algebra, kind: str, prefix: HigherMapSequence) -> LevelSystem:

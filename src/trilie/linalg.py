@@ -17,7 +17,8 @@ pivots only at the end.  Scalars appear only at its boundaries, and its
 canonical RREF is the one :func:`rref` gives.  :func:`rref` and
 :func:`solve_affine` still compute on dense Scalar rows.
 :meth:`FactoredSolver.solve` checks every row the factorization did not pick
-over that row's nonzero entries only, kept once, at the first solve.
+over that row's nonzero entries only, in ints: the integer rows the
+factorization already built, kept when the matrix is factored.
 
 Structure constants are mostly zero (the catalog algebras have 4–12 nonzero
 constants out of 27–216), so bilinear maps given by them (products,
@@ -32,7 +33,6 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 
 try:
@@ -560,14 +560,10 @@ class FactoredSolver:
         _, kernel = _echelon(_integer_row(v)[0]
                              for v in _nullspace_vectors(rows, self._pivots, n))
         self.nullspace = SubspaceBasis(n, _reduced_rows(kernel, n)[1])
-
-    @cached_property
-    def _sweep(self) -> tuple:
-        """(index, ((column, entry), ...)) for every row not picked, with
-        only the row's nonzero entries; built on the first solve."""
-        picked = set(self.picked)
-        return tuple((idx, tuple((j, a) for j, a in enumerate(row) if a))
-                     for idx, row in enumerate(self.matrix.entries) if idx not in picked)
+        # every row not picked, as its nonzero entries times den, for the sweep
+        chosen = set(picked)
+        self._sweep = tuple((idx, w, den) for idx, (w, den) in enumerate(scaled)
+                            if idx not in chosen)
 
     def solve(self, b: Vector) -> AffineSolutionSet:
         m = self.matrix
@@ -584,14 +580,16 @@ class FactoredSolver:
                 if t:
                     acc += t * bj
             x[p] = acc
-        xt = tuple(x)
-        # picked rows hold by construction; every other row is checked exactly
-        for idx, row in self._sweep:
-            acc = ZERO
-            for j, a in row:
-                xj = x[j]
-                if xj:
-                    acc += a * xj
-            if acc != b[idx]:
+        # picked rows hold by construction; every other row is checked exactly,
+        # in ints: with the row kept as w/den and x = xn/xd, the row holds iff
+        # Σ_j w_j·xn_j = den·xd·b, compared after clearing b's denominator
+        xd = lcm(*(int(v.denominator) for v in x))
+        xn = [int(v.numerator) * (xd // int(v.denominator)) for v in x]
+        for idx, w, den in self._sweep:
+            acc = 0
+            for j, a in w.items():
+                acc += a * xn[j]
+            bi = b[idx]
+            if (acc * int(bi.denominator) != den * xd * int(bi.numerator)) if bi else acc:
                 return AffineSolutionSet(None, self.nullspace)
-        return AffineSolutionSet(xt, self.nullspace)
+        return AffineSolutionSet(tuple(x), self.nullspace)

@@ -375,12 +375,13 @@ def test_central_part_never_leaves_embedded_center_here(name):
                 assert embedded.contains(dec.chi[n].matrix.column(c))
 
 
-def test_split_reassembly_mismatch_raises_under_optimize():
-    """The reassembly check in decompose is not an assert, so `python -O`
-    keeps it: a wrong embedding map makes Δ + χ miss ι∘L and raises."""
+def _run_with_doubled_embedding(call: str):
+    """Run `call` under `python -O` on an L2 Lie higher sample whose
+    embedding map is doubled, so Δ + χ misses ι∘L; print the law and the
+    level of the StructureError it raises."""
     script = (
         "from trilie.catalog import load_catalog\n"
-        "from trilie.decomposition import StructureError, decompose\n"
+        "from trilie.decomposition import StructureError, decompose, probe_conjecture\n"
         "from trilie.derivations import LIE_HIGHER, sample_sequence\n"
         "from trilie.extension import ExtendedTriangular, build_operator_extension\n"
         "tri = load_catalog('tri_t2_plane_q')\n"
@@ -389,7 +390,7 @@ def test_split_reassembly_mismatch_raises_under_optimize():
         "embedding_map = ExtendedTriangular.embedding_map\n"
         "ExtendedTriangular.embedding_map = lambda self: embedding_map(self).scale(2)\n"
         "try:\n"
-        "    decompose(tri, seq)\n"
+        f"    {call}\n"
         "except StructureError as exc:\n"
         "    print(exc.law, *exc.where)\n")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -397,4 +398,18 @@ def test_split_reassembly_mismatch_raises_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["split-reassembly", "0"]
+    return out.stdout.split()
+
+
+def test_split_reassembly_mismatch_raises_under_optimize():
+    """The reassembly check in decompose is not an assert, so `python -O`
+    keeps it: a wrong embedding map makes Δ + χ miss ι∘L and raises."""
+    assert _run_with_doubled_embedding("decompose(tri, seq)") == ["split-reassembly", "0"]
+
+
+def test_probe_does_not_swallow_a_split_reassembly_mismatch():
+    """probe_conjecture falls back to the affine route when the input has no
+    canonical split, but a split that does not reassemble is a fault of
+    decompose itself and must reach the caller."""
+    assert (_run_with_doubled_embedding("probe_conjecture(tri, seq)")
+            == ["split-reassembly", "0"])
